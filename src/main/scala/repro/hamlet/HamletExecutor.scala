@@ -14,17 +14,20 @@ import repro.query.{CompiledQuery, CompiledWorkload}
   */
 final class HamletExecutor(wl: CompiledWorkload, policy: SharingPolicy) extends Serializable {
 
+  // Channel layouts depend only on the workload, so they are fixed here
+  // rather than recomputed for every unit.
+  private val setLayouts = wl.sets.map(set => set -> ChannelSpec.forQueries(set.queries))
+  private val singletonLayouts = wl.singletons.map(q => q -> ChannelSpec.forQueries(Seq(q)))
+
   /** Per-query aggregates for one pane of one group. */
   def processPaneAggs(events: Seq[Event], metrics: Metrics): Map[String, PaneAgg] = {
     val out = Map.newBuilder[String, PaneAgg]
-    wl.sets.foreach { set =>
-      val eng = new SetPaneEngine(set.queries, Some(set.sharedType),
-        ChannelSpec.forQueries(set.queries), policy, metrics)
+    setLayouts.foreach { case (set, channels) =>
+      val eng = new SetPaneEngine(set.queries, Some(set.sharedType), channels, policy, metrics)
       out ++= eng.processPane(events)
     }
-    wl.singletons.foreach { q =>
-      val eng = new SetPaneEngine(Vector(q), None,
-        ChannelSpec.forQueries(Seq(q)), NeverShare, metrics)
+    singletonLayouts.foreach { case (q, channels) =>
+      val eng = new SetPaneEngine(Vector(q), None, channels, NeverShare, metrics)
       out ++= eng.processPane(events)
     }
     out.result()

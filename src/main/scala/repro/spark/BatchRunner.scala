@@ -11,11 +11,10 @@ import repro.query.{Agg, CompiledWorkload}
 
 /** Batch execution of a compiled workload on Spark.
   *
-  * The stream is partitioned by the grouping attribute with `groupByKey`
-  * (§3.1 "partitions the stream by the values of grouping attributes");
-  * within a group the events are pane-partitioned and each pane runs
-  * through the [[HamletExecutor]] (trends are pane-scoped, DESIGN.md).
-  * Window roll-up from pane results is plain DataFrame aggregation.
+  * The stream is partitioned by the grouping attribute and then into panes
+  * (§3.1); trends are pane-scoped (DESIGN.md), so every (group, pane) unit
+  * is independent work for the [[HamletExecutor]]. Window roll-up from pane
+  * results is plain DataFrame aggregation.
   */
 object BatchRunner {
 
@@ -24,7 +23,26 @@ object BatchRunner {
     spark.createDataset(events)
   }
 
-  /** Per-(query, group, pane) aggregate channels. */
+  /** Per-(query, group, pane) aggregate channels.
+    *
+    * The events are hash-partitioned on the unit key (grp, pane) into
+    * `spark.sql.shuffle.partitions` partitions, sorted within each by
+    * (grp, ts, id), and each run of one unit goes through the executor.
+    * The partition count is explicit on purpose: AQE sizes partitions by
+    * shuffle bytes and would coalesce a small event stream into one task,
+    * but engine cost grows faster than unit size (O(n) per event), and AQE
+    * leaves a repartition with an explicit count alone.
+    *
+    * The key's pane is integral division (`ts div paneMs`), exactly
+    * [[Event.pane]]; a floating division could put an event just before a
+    * pane boundary in the next pane's bucket and split its unit in two.
+    *
+    * The result rows, in turn, are few and cost the same per row, so they
+    * are hash-partitioned on (queryId, grp) into one partition per core.
+    * Otherwise a consumer such as [[windowed]] would run its per-task
+    * set-up (aggregation map, shuffle files) once per engine partition; the
+    * key also satisfies its grouping, so it adds no exchange of its own.
+    */
   def paneResults(
       spark: SparkSession,
       wl: CompiledWorkload,
@@ -34,17 +52,25 @@ object BatchRunner {
     import spark.implicits._
     val exec = new HamletExecutor(wl, policy)
     val paneMs = wl.paneMs
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
     events
-      .groupByKey(_.grp)
-      .flatMapGroups { (grp: String, it: Iterator[Event]) =>
-        val sorted = it.toArray.sortBy(e => (e.ts, e.id))
+      .repartition(partitions, $"grp", expr(s"ts div $paneMs"))
+      .sortWithinPartitions($"grp", $"ts", $"id")
+      .mapPartitions { it =>
+        // Sorted by (grp, ts, id) and pane is monotone in ts, so every
+        // unit is one consecutive run.
         val metrics = new Metrics
-        sorted
-          .groupBy(_.pane(paneMs))
-          .toSeq.sortBy(_._1)
-          .iterator
-          .flatMap { case (pane, evs) => exec.processPane(grp, pane, evs.toSeq, metrics) }
+        val units = it.buffered
+        Iterator.continually(units).takeWhile(_.hasNext).flatMap { _ =>
+          val grp = units.head.grp
+          val pane = units.head.pane(paneMs)
+          val evs = Vector.newBuilder[Event]
+          while (units.hasNext && units.head.grp == grp && units.head.pane(paneMs) == pane)
+            evs += units.next()
+          exec.processPane(grp, pane, evs.result(), metrics)
+        }
       }
+      .repartition(spark.sparkContext.defaultParallelism, $"queryId", $"grp")
   }
 
   /** Roll pane results up into sliding-window results per query

@@ -16,6 +16,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` with the given SQL settings on the shared session, then
+    * restores the previous values (or unsets keys that were unset), so a
+    * suite's settings never leak into the next one.
+    */
+  def withConf[T](settings: (String, String)*)(body: => T): T = {
+    val conf = spark.conf
+    val explicit = conf.getAll
+    val previous = settings.map { case (k, _) => k -> explicit.get(k) }
+    settings.foreach { case (k, v) => conf.set(k, v) }
+    try body
+    finally previous.foreach {
+      case (k, Some(v)) => conf.set(k, v)
+      case (k, None)    => conf.unset(k)
+    }
+  }
 }
 
 object SparkSpec {
