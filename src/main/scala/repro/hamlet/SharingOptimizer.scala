@@ -58,7 +58,7 @@ object SharingOptimizer {
     */
   def decide(
       policy: SharingPolicy,
-      burst: IndexedSeq[Event],
+      burst: collection.IndexedSeq[Event],
       queries: Vector[CompiledQuery],
       sharedType: String,
       eventsSoFar: Long,
@@ -80,35 +80,41 @@ object SharingOptimizer {
         Decision(all, Double.PositiveInfinity, stats(1, 1, k), 1)
 
       case Dynamic(model) =>
+        val startFlags = queries.map(_.tpl.startTypes.contains(sharedType)).toArray
+        val startUniform = startFlags.forall(_ == startFlags(0))
         // O(1) fast path (§4.2: the decision "simply plugs in locally
         // available stream statistics"): without per-event predicates or
         // edge predicates no event can diverge, so s_c = s_p = 1.
-        val startFlagsAll = queries.map(_.tpl.startTypes.contains(sharedType))
-        if (queries.forall(q => q.q.preds.isEmpty && q.q.edgePred.isEmpty) &&
-            startFlagsAll.distinct.size == 1) {
+        if (queries.forall(q => q.q.preds.isEmpty && q.q.edgePred.isEmpty) && startUniform) {
           val st = stats(1, 1, k)
           return Decision(all, model.benefit(st), st, 1)
         }
-        // Sample the burst for predicate divergence.
+        // Sample the burst for predicate divergence; each sampled event's
+        // match flags are computed once, for both passes below.
         val stride = math.max(1, burst.size / SampleCap)
-        val sample = burst.indices.by(stride).map(burst)
+        val qArr = queries.toArray
+        val sample = burst.indices.by(stride).map { j =>
+          val e = burst(j)
+          val matched = new Array[Boolean](k)
+          var i = 0
+          while (i < k) { matched(i) = qArr(i).q.matches(e); i += 1 }
+          matched
+        }
         val scale  = b.toDouble / sample.size
 
-        val startFlags = queries.map(_.tpl.startTypes.contains(sharedType))
-        val startUniform = startFlags.distinct.size == 1
         // Per-query divergence counts d(q): minority membership per event.
-        val d = Array.fill(k)(0L)
-        var divergentEvents = 0L
-        sample.foreach { e =>
-          val matched = queries.map(_.q.matches(e))
+        val startMajority = startFlags.count(identity) * 2 >= k
+        val d = new Array[Long](k)
+        sample.foreach { matched =>
           val nMatched = matched.count(identity)
           val uniform = (nMatched == 0 || nMatched == k) && startUniform
           if (!uniform) {
-            divergentEvents += 1
             val majority = nMatched * 2 >= k
-            for (i <- 0 until k)
-              if (matched(i) != majority || !startUniform && startFlags(i) != (startFlags.count(identity) * 2 >= k))
-                d(i) += 1
+            var i = 0
+            while (i < k) {
+              if (matched(i) != majority || !startUniform && startFlags(i) != startMajority) d(i) += 1
+              i += 1
+            }
           }
         }
 
@@ -122,13 +128,15 @@ object SharingOptimizer {
           d(i) == 0L || (d(i) * scale) * g * p <= b * (log2g + n)
         }
         // Re-estimate s_c for the chosen set (divergence w.r.t. the set).
-        val chosenQs = chosen.map(queries)
         var divChosen = 0L
         if (chosen.size >= 2) {
-          val sUni = chosenQs.map(_.tpl.startTypes.contains(sharedType)).distinct.size == 1
-          sample.foreach { e =>
-            val nm = chosenQs.count(_.q.matches(e))
-            if ((nm != 0 && nm != chosen.size) || !sUni) divChosen += 1
+          val ch = chosen.toArray
+          val sUni = ch.forall(i => startFlags(i) == startFlags(ch(0)))
+          sample.foreach { matched =>
+            var nm = 0
+            var j = 0
+            while (j < ch.length) { if (matched(ch(j))) nm += 1; j += 1 }
+            if ((nm != 0 && nm != ch.length) || !sUni) divChosen += 1
           }
         }
         val sC = 1L + (divChosen * scale).round // graphlet snapshot + event snapshots

@@ -30,8 +30,12 @@ final case class Template(
     midNegs: Seq[NegBarrier],
     trailingNegs: Set[String],
 ) {
+  /** Predecessor types pt(E, q) of every type with one (Example 2). */
+  private lazy val predTypesOf: Map[String, Set[String]] =
+    transitions.map(_._2).map(t => t -> transitions.collect { case (f, `t`) => f }).toMap
+
   /** Predecessor types pt(E, q) (Example 2). */
-  def predTypes(t: String): Set[String] = transitions.collect { case (f, `t`) => f }
+  def predTypes(t: String): Set[String] = predTypesOf.getOrElse(t, Set.empty)
 
   /** All types relevant to burst/graphlet boundaries: positive + negated. */
   def typeUniverse: Set[String] = types ++ midNegs.map(_.negType) ++ trailingNegs

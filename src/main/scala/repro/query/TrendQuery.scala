@@ -44,19 +44,28 @@ sealed trait Pred {
 }
 /** Numeric comparison `E.attr op v` with op in <, <=, >, >=, =, !=. */
 final case class NumPred(typ: String, attr: String, op: String, v: Double) extends Pred {
+  private val cmp: Int = NumPred.Ops.indexOf(op)
+  require(cmp >= 0, s"NumPred op '$op' is not one of ${NumPred.Ops.mkString(" ")}")
+
   def accepts(e: Event): Boolean = {
     if (e.typ != typ) true
     else e.num.get(attr) match {
       case None    => false
       case Some(x) =>
-        op match {
-          case "<" => x < v; case "<=" => x <= v
-          case ">" => x > v; case ">=" => x >= v
-          case "=" => x == v; case "!=" => x != v
-          case other => throw new IllegalArgumentException(s"op $other")
+        (cmp: @annotation.switch) match {
+          case 0 => x < v
+          case 1 => x <= v
+          case 2 => x > v
+          case 3 => x >= v
+          case 4 => x == v
+          case _ => x != v
         }
     }
   }
+}
+object NumPred {
+  /** The comparison operators, in the order `accepts` dispatches on. */
+  val Ops: Vector[String] = Vector("<", "<=", ">", ">=", "=", "!=")
 }
 /** String equality `E.attr = v`. */
 final case class StrPred(typ: String, attr: String, v: String) extends Pred {

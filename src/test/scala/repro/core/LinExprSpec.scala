@@ -64,4 +64,81 @@ class LinExprSpec extends AnyFunSuite {
     assert(((a + b) + c).eval(look) == (a + (b + c)).eval(look))
     assert((a + b).eval(look) == (b + a).eval(look))
   }
+
+  // --- Builder: one accumulator for a sum of many expressions ----------
+
+  /** The representation before the builder: terms in an immutable map,
+    * each addition a left fold of `updated` over the addend's terms.
+    */
+  private def mapFold(xs: Seq[LinExpr]): (Double, Map[Long, Double]) =
+    xs.foldLeft((0.0, Map.empty[Long, Double])) { case ((c, m), x) =>
+      (c + x.const, x.terms.foldLeft(m) { case (mm, (k, v)) => mm.updated(k, mm.getOrElse(k, 0.0) + v) })
+    }
+
+  private def mapEval(c: Double, m: Map[Long, Double]): Double =
+    c + m.map { case (k, v) => v * look(LinExpr.snapOf(k), LinExpr.chanOf(k)) }.sum
+
+  private def built(xs: Seq[LinExpr]): LinExpr = {
+    val b = new LinExpr.Builder
+    xs.foreach(b.add)
+    b.result()
+  }
+
+  test("builder sums repeated keys across many expressions like the map fold") {
+    val rnd = new scala.util.Random(1)
+    val xs = (0 until 300).map { _ =>
+      val snap = if (rnd.nextBoolean()) 7L else 9L
+      LinExpr.ofSnap(snap, rnd.nextInt(2)) * (1 + rnd.nextInt(5)).toDouble + rnd.nextInt(3).toDouble
+    }
+    val (c, m) = mapFold(xs)
+    val e = built(xs)
+    assert(e.size == m.size && e.size == 4)
+    assert(e.terms == m && e.const == c)
+    assert(e.eval(look) == mapEval(c, m))
+  }
+
+  test("builder keeps a term whose coefficient sums to zero (it counts in size)") {
+    val xs = Seq(LinExpr.ofSnap(7, 0) * 2.0, LinExpr.ofSnap(9, 1), LinExpr.ofSnap(7, 0) * -2.0)
+    val e = built(xs)
+    assert(e.size == 2 && mapFold(xs)._2.size == 2)
+    assert(e.terms(LinExpr.key(7, 0)) == 0.0)
+    assert(e.eval(look) == 1.0)
+    assert((LinExpr.ofSnap(7, 0) * 2.0 + LinExpr.ofSnap(7, 0) * -2.0).size == 1)
+  }
+
+  test("builder accumulates constants, scaled addends and explicit constants") {
+    val b = new LinExpr.Builder
+    b.add(LinExpr.const(1.5))
+    b.addScaled(LinExpr.ofSnap(7, 0) + 2.0, 3.0) // 3·x + 6
+    b.addScaled(LinExpr.ofSnap(9, 0) + 100.0, 0.0) // no-op, like * 0.0
+    b.addConst(0.25)
+    val e = b.result()
+    assert(e.const == 1.5 + 6.0 + 0.25 && e.size == 1)
+    assert(e.eval(look) == 7.75 + 3 * 2.0)
+  }
+
+  test("builder is empty again after result, and reusable") {
+    val b = new LinExpr.Builder
+    (0 until 50).foreach(i => b.add(LinExpr.ofSnap(i.toLong, i % 8)))
+    assert(b.result().size == 50)
+    b.add(LinExpr.ofSnap(3, 3) + 1.0)
+    val e = b.result()
+    assert(e.size == 1 && e.const == 1.0 && e.terms == Map(LinExpr.key(3, 3) -> 1.0))
+    assert(b.result().size == 0)
+  }
+
+  for (seed <- 0 until 5) {
+    test(s"builder size and eval equal the map fold on random sums (seed $seed)") {
+      val rnd = new scala.util.Random(100 + seed)
+      val xs = (0 until 1 + rnd.nextInt(60)).map { _ =>
+        val terms = (0 until rnd.nextInt(6)).map(_ => LinExpr.ofSnap(rnd.nextInt(40).toLong, rnd.nextInt(8)))
+        (terms.foldLeft(LinExpr.const(rnd.nextInt(4).toDouble))(_ + _)) * (rnd.nextInt(7) - 3).toDouble
+      }
+      val (c, m) = mapFold(xs)
+      val e = built(xs)
+      assert(e.size == m.size && e.terms == m && e.const == c)
+      assert(e.eval(look) == mapEval(c, m))
+      assert(xs.reduce(_ + _).terms == m)
+    }
+  }
 }
